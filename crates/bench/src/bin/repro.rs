@@ -451,7 +451,7 @@ fn harness_child(args: &[String]) {
                 p("threads", 2),
                 p("pairs", 64),
                 mode,
-                p("shards", tyche_core::shared::SHARDS),
+                p("shards", ConcurrentMonitor::DEFAULT_SHARDS),
                 p("ring_depth", ConcurrentMonitor::DEFAULT_RING_DEPTH),
             );
             let det = smp_det(&e);
@@ -3148,8 +3148,9 @@ fn find_core_cap(m: &tyche_monitor::Monitor, os: DomainId, core: usize) -> CapId
 /// is the point — that is the shard-sweep knee). Domain and capability
 /// ids come from one sequential allocator, so burning filler ids (root
 /// self-transition caps) until the next id lands on the wanted residue
-/// places each tenant deterministically; the assert fails loudly if the
-/// allocator ever stops cooperating.
+/// places each tenant deterministically; [`smp_wrap`] asserts the
+/// placement through the serving monitor's own routing, so it fails
+/// loudly if the allocator ever stops cooperating.
 ///
 /// `pool_depth > 0` pre-creates, per worker, that many victim-owned
 /// sub-shares of the victim's window (self-shares are legal while
@@ -3157,8 +3158,6 @@ fn find_core_cap(m: &tyche_monitor::Monitor, os: DomainId, core: usize) -> CapId
 /// iteration has a fresh capability whose revocation must shoot down
 /// the victim core.
 fn smp_fixture(threads: usize, nshards: usize, pool_depth: usize) -> SmpFixture {
-    use tyche_core::shared::SharedEngine;
-
     let mut cfg = BootConfig::default();
     cfg.machine.cores = threads + 1;
     let mut m = boot_x86(cfg);
@@ -3220,11 +3219,6 @@ fn smp_fixture(threads: usize, nshards: usize, pool_depth: usize) -> SmpFixture 
             }
             let base = lane_base(core);
             let (tenant, gate) = m.engine.create_domain(os).expect("tenant");
-            assert_eq!(
-                SharedEngine::shard_of_n(tenant, nshards),
-                core % nshards,
-                "tenant off its shard"
-            );
             let window = m
                 .engine
                 .share(
@@ -3280,6 +3274,22 @@ fn smp_fixture(threads: usize, nshards: usize, pool_depth: usize) -> SmpFixture 
         victim_core,
         pool,
     }
+}
+
+/// Wraps a fixture's monitor for SMP serving and checks the lane
+/// steering held: tenant `c` routes to shard `c % nshards` under the
+/// monitor's own mask routing.
+fn smp_wrap(
+    m: tyche_monitor::Monitor,
+    lanes: &[SmpLane],
+    nshards: usize,
+    ring_depth: usize,
+) -> ConcurrentMonitor {
+    let cm = ConcurrentMonitor::with_config(m, nshards, ring_depth);
+    for (core, lane) in lanes.iter().enumerate() {
+        assert_eq!(cm.shard_index(lane.tenant), core % nshards, "tenant off its shard");
+    }
+    cm
 }
 
 /// The self-share a distinct-mode worker issues on iteration `i`: the
@@ -3408,7 +3418,7 @@ fn smp_run_mutations(
     let fx = smp_fixture(threads, nshards, pool_depth);
     let (mut m, lanes, victim, pool) = (fx.m, fx.lanes, fx.victim, fx.pool);
     smp_enter_actors(&mut m, &lanes, mode, fx.victim_core, fx.victim_gate);
-    let cm = Arc::new(ConcurrentMonitor::with_config(m, nshards, ring_depth));
+    let cm = Arc::new(smp_wrap(m, &lanes, nshards, ring_depth));
     let t0 = Instant::now();
     let workers: Vec<_> = (0..threads)
         .map(|core| {
@@ -3544,7 +3554,7 @@ fn smp_run_mutations(
 /// timed roundtrip contributes two samples).
 fn smp_run_transitions(threads: usize, roundtrips: usize) -> (SmpEntry, Histogram) {
     use std::sync::{Arc, Mutex};
-    use tyche_core::shared::SHARDS;
+    const SHARDS: usize = ConcurrentMonitor::DEFAULT_SHARDS;
 
     let fx = smp_fixture(threads, SHARDS, 0);
     let (m, lanes) = (fx.m, fx.lanes);
@@ -3580,7 +3590,7 @@ fn smp_run_transitions(threads: usize, roundtrips: usize) -> (SmpEntry, Histogra
 
     let fx = smp_fixture(threads, SHARDS, 0);
     let (m, lanes) = (fx.m, fx.lanes);
-    let cm = Arc::new(ConcurrentMonitor::new(m));
+    let cm = Arc::new(smp_wrap(m, &lanes, SHARDS, ConcurrentMonitor::DEFAULT_RING_DEPTH));
     let t0 = Instant::now();
     let workers: Vec<_> = (0..threads)
         .map(|core| {
@@ -3645,7 +3655,7 @@ fn smp_run_transitions(threads: usize, roundtrips: usize) -> (SmpEntry, Histogra
 /// discipline), so they do not depend on thread interleaving either.
 /// Wall-clock appears only in `detail` and the call-latency histogram.
 fn bench_smp(json: bool, smoke: bool, out: Option<&str>) {
-    use tyche_core::shared::SHARDS;
+    const SHARDS: usize = ConcurrentMonitor::DEFAULT_SHARDS;
 
     if json && smoke {
         let path = resolve_bench_out(Family::Smp, smoke, out);

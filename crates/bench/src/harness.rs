@@ -177,7 +177,7 @@ pub fn suite_specs(family: Family, smoke: bool) -> Vec<ChildSpec> {
             let threads: &[usize] = if smoke { &[2] } else { &[1, 2, 4, 8, 16, 32] };
             let pairs = if smoke { 8 } else { 64 };
             let roundtrips = if smoke { 16 } else { 256 };
-            let shards = tyche_core::shared::SHARDS;
+            let shards = tyche_monitor::ConcurrentMonitor::DEFAULT_SHARDS;
             let depth = tyche_monitor::ConcurrentMonitor::DEFAULT_RING_DEPTH;
             let inv = 2;
             let mut specs = Vec::new();

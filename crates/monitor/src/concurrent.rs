@@ -1,7 +1,10 @@
 //! SMP front-end: concurrent hypercall serving over one [`Monitor`].
 //!
 //! [`ConcurrentMonitor`] lets one worker thread per modeled core issue
-//! hypercalls against a shared monitor. Three serving tiers:
+//! hypercalls against a shared monitor. It is the only SMP layer: it
+//! owns the domain shard table, the mask routing, and the
+//! publish-on-mutate step into the epoch read side
+//! (`tyche_core::shared`). Three serving tiers:
 //!
 //! - **Read-only calls** (`Enumerate`) run against a published snapshot
 //!   from the epoch read side ([`EpochReadSide`]): every committed
@@ -16,10 +19,11 @@
 //!   the core's own clock, and no shared lock is taken. This is the
 //!   paper's "fast (100 cycles) transitions" path, now per-core.
 //! - **Mutations** (everything else) take the *shard locks* of every
-//!   involved domain — in ascending shard order, the same global rule
-//!   as [`tyche_core::shared::SharedEngine`], so cross-domain grants and
-//!   revokes are deadlock-free — and then the inner monitor lock for
-//!   the actual state change.
+//!   involved domain — in ascending shard order, the global rule that
+//!   makes cross-domain grants and revokes deadlock-free — and then the
+//!   inner monitor lock for the actual state change. Shards are routed
+//!   by `domain id & mask` over a power-of-two table fixed at
+//!   construction.
 //!
 //! ## Simulated-time contention model
 //!
@@ -92,7 +96,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 
 use tyche_core::engine::CapEngine;
 use tyche_core::ids::{CapId, DomainId};
-use tyche_core::shared::{EpochReadSide, SharedEngine, SHARDS};
+use tyche_core::shared::{shard_count, shard_of, EpochReadSide};
 use tyche_core::trace::{EventKind, TraceSink};
 use tyche_core::RevocationPolicy;
 use tyche_hw::cycles::{CycleCounter, PerCoreClocks};
@@ -235,23 +239,22 @@ impl ConcurrentMonitor {
     /// critical section stays short.
     pub const DEFAULT_RING_DEPTH: usize = 16;
 
+    /// Default number of domain shards: more than plausible worker
+    /// threads, so false conflicts stay rare while the lock table stays
+    /// small.
+    pub const DEFAULT_SHARDS: usize = 16;
+
     /// Wraps a booted monitor for SMP serving with the default shard
     /// count and ring depth. Each core's SMP view starts at the domain
     /// the inner monitor has current on that core.
     pub fn new(monitor: Monitor) -> Self {
-        Self::with_config(monitor, SHARDS, Self::DEFAULT_RING_DEPTH)
-    }
-
-    /// Like [`new`](Self::new) with an explicit shard count (the SMP
-    /// benches sweep it). Rounded up to a power of two so routing is a
-    /// mask, matching [`SharedEngine::shard_of_n`].
-    pub fn with_shards(monitor: Monitor, nshards: usize) -> Self {
-        Self::with_config(monitor, nshards, Self::DEFAULT_RING_DEPTH)
+        Self::with_config(monitor, Self::DEFAULT_SHARDS, Self::DEFAULT_RING_DEPTH)
     }
 
     /// Full-control constructor: `nshards` domain shards (at least one,
-    /// rounded up to a power of two) and `ring_depth` (at least one) for
-    /// the per-core submission rings.
+    /// rounded up to a power of two so routing is a mask) and
+    /// `ring_depth` (at least one) for the per-core submission rings.
+    /// The SMP benches sweep both.
     pub fn with_config(monitor: Monitor, nshards: usize, ring_depth: usize) -> Self {
         let arch = monitor.arch();
         let cost = monitor.machine.cost;
@@ -275,7 +278,7 @@ impl ConcurrentMonitor {
             .collect();
         ConcurrentMonitor {
             inner: RwLock::new(monitor),
-            shards: (0..nshards.max(1).next_power_of_two())
+            shards: (0..shard_count(nshards))
                 .map(|_| Shard {
                     lock: Mutex::new(()),
                     clock: CycleCounter::new(),
@@ -299,44 +302,6 @@ impl ConcurrentMonitor {
         }
     }
 
-    /// Number of domain shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Rebuilds the shard table with `nshards` shards (rounded up to a
-    /// power of two) and returns the new count.
-    ///
-    /// Resize protocol (monitor side): the table is only reachable
-    /// through `&self` serving paths, so taking `&mut self` *is* the
-    /// quiesce point — no core can be mid-hypercall while the exclusive
-    /// borrow exists, and the per-core submission rings drain before the
-    /// caller can obtain it. Shard mutexes are stateless, so there is
-    /// nothing to rehash; the shard *clocks* are stateful, and every new
-    /// clock starts at the max of the old ones so discrete-event time
-    /// never runs backwards for an operation routed to a different shard
-    /// after the resize.
-    pub fn resize_shards(&mut self, nshards: usize) -> usize {
-        let floor = self
-            .shards
-            .iter()
-            .map(|s| s.clock.now())
-            .max()
-            .unwrap_or(0);
-        let n = nshards.max(1).next_power_of_two();
-        self.shards = (0..n)
-            .map(|_| {
-                let clock = CycleCounter::new();
-                clock.advance_to(floor);
-                Shard {
-                    lock: Mutex::new(()),
-                    clock,
-                }
-            })
-            .collect();
-        n
-    }
-
     /// The configured submission-ring depth.
     pub fn ring_depth(&self) -> usize {
         self.ring_depth
@@ -347,9 +312,10 @@ impl ConcurrentMonitor {
         &self.reads
     }
 
-    /// The shard index a domain maps to in *this* monitor.
-    fn shard_index(&self, domain: DomainId) -> usize {
-        SharedEngine::shard_of_n(domain, self.shards.len())
+    /// The shard index a domain maps to: its id masked by the
+    /// power-of-two shard count, so every id lands on an existing shard.
+    pub fn shard_index(&self, domain: DomainId) -> usize {
+        shard_of(domain, self.shards.len())
     }
 
     /// Number of modeled cores.
@@ -582,30 +548,7 @@ impl ConcurrentMonitor {
             );
             return Err(Status::Denied);
         }
-        // Discrete-event lock timing: start when the core *and* every
-        // involved shard are free; pay a hand-off if the shard clocks
-        // made us wait.
-        let core_now = self.clocks.now(core);
-        let mut shard_free = 0;
-        let mut busiest_shard = 0u64;
-        for (s, &i) in shards.iter().zip(shard_idx.iter()) {
-            let now = s.clock.now();
-            if now > shard_free {
-                shard_free = now;
-                busiest_shard = i as u64;
-            }
-        }
-        let mut t0 = core_now.max(shard_free);
-        if shard_free > core_now {
-            SmpStats::bump(&self.stats.shard_waits);
-            self.trace.emit(
-                core as u32,
-                EventKind::ShardWait {
-                    shard: busiest_shard,
-                },
-            );
-            t0 += self.lock_handoff;
-        }
+        let t0 = self.shard_start(core, &shards, &shard_idx);
         // The inner call charges the machine-global counter; the delta
         // is this operation's cost, re-charged to the core's timeline.
         let before = inner.machine.cycles.now();
@@ -616,16 +559,7 @@ impl ConcurrentMonitor {
         for s in &shards {
             s.clock.advance_to(end);
         }
-        // Publish the committed state to the epoch read side before the
-        // Release store makes the new generation observable: a reader
-        // that sees `live_gen == gen` finds a snapshot at least that new
-        // at the head. Failed and read-only calls leave the generation
-        // unchanged and skip the clone.
-        let gen = inner.engine.generation();
-        if gen != self.live_gen.load(Ordering::Acquire) {
-            self.reads.publish(gen, Arc::new(inner.engine.clone()));
-        }
-        self.live_gen.store(gen, Ordering::Release);
+        self.publish_if_moved(&inner.engine);
         SmpStats::bump(&self.stats.mutations);
         // Mirror mediated transitions into the SMP view.
         match &result {
@@ -644,21 +578,8 @@ impl ConcurrentMonitor {
         }
         drop(inner);
         drop(state);
-        // Translation-shrinking ops queue the domains that *lost* access
-        // for a batched cross-core shootdown instead of IPI-ing inline.
-        if result.is_ok() && !losers.is_empty() {
-            // `core` was validated by `core_state` above; `get` keeps the
-            // no-panic discipline anyway.
-            if let Some(batch) = self.pending.get(core) {
-                let mut pending = mutex_lock(batch);
-                for d in losers {
-                    SmpStats::bump(&self.stats.shootdowns_requested);
-                    if pending.insert(d) {
-                        self.trace
-                            .emit(core as u32, EventKind::ShootQueue { domain: d.0 });
-                    }
-                }
-            }
+        if result.is_ok() {
+            self.queue_losers(core, losers);
         }
         result
     }
@@ -766,27 +687,7 @@ impl ConcurrentMonitor {
             }
             return Ok(batch.iter().map(|_| Err(Status::Denied)).collect());
         }
-        let core_now = self.clocks.now(core);
-        let mut shard_free = 0;
-        let mut busiest_shard = 0u64;
-        for (s, &i) in shards.iter().zip(shard_idx.iter()) {
-            let now = s.clock.now();
-            if now > shard_free {
-                shard_free = now;
-                busiest_shard = i as u64;
-            }
-        }
-        let mut t0 = core_now.max(shard_free);
-        if shard_free > core_now {
-            SmpStats::bump(&self.stats.shard_waits);
-            self.trace.emit(
-                core as u32,
-                EventKind::ShardWait {
-                    shard: busiest_shard,
-                },
-            );
-            t0 += self.lock_handoff;
-        }
+        let t0 = self.shard_start(core, &shards, &shard_idx);
         // One doorbell trap crossing for the whole batch; each entry
         // then pays its operation cost *minus* the per-call trap the
         // inner monitor charges, plus the ring dispatch overhead.
@@ -809,11 +710,7 @@ impl ConcurrentMonitor {
             }
             results.push(result);
         }
-        let gen = inner.engine.generation();
-        if gen != self.live_gen.load(Ordering::Acquire) {
-            self.reads.publish(gen, Arc::new(inner.engine.clone()));
-        }
-        self.live_gen.store(gen, Ordering::Release);
+        self.publish_if_moved(&inner.engine);
         self.clocks.advance_to(core, t_end);
         for s in &shards {
             s.clock.advance_to(t_end);
@@ -825,23 +722,76 @@ impl ConcurrentMonitor {
         // cores' state locks (rank below the shards), and a core waiting
         // on one of our shards could be holding its own state lock.
         drop(guards);
-        if !all_losers.is_empty() {
-            if let Some(pending_cell) = self.pending.get(core) {
-                let mut pending = mutex_lock(pending_cell);
-                for d in all_losers {
-                    SmpStats::bump(&self.stats.shootdowns_requested);
-                    if pending.insert(d) {
-                        self.trace
-                            .emit(core as u32, EventKind::ShootQueue { domain: d.0 });
-                    }
-                }
-            }
-        }
+        self.queue_losers(core, all_losers);
         // A batch is an explicit flush boundary: its invalidations are
         // already coalesced, so deliver the shootdown round now instead
         // of leaving the gather window open.
         self.sync_shootdowns(core);
         Ok(results)
+    }
+
+    /// Discrete-event lock timing shared by both mutation tiers: start
+    /// when the core *and* every involved shard are free, and pay a
+    /// hand-off (emitting `ShardWait` for the busiest shard) if the
+    /// shard clocks made the caller wait. Returns the start time.
+    fn shard_start(&self, core: usize, shards: &[&Shard], shard_idx: &[usize]) -> u64 {
+        let core_now = self.clocks.now(core);
+        let mut shard_free = 0;
+        let mut busiest_shard = 0u64;
+        for (s, &i) in shards.iter().zip(shard_idx) {
+            let now = s.clock.now();
+            if now > shard_free {
+                shard_free = now;
+                busiest_shard = i as u64;
+            }
+        }
+        if shard_free <= core_now {
+            return core_now;
+        }
+        SmpStats::bump(&self.stats.shard_waits);
+        self.trace.emit(
+            core as u32,
+            EventKind::ShardWait {
+                shard: busiest_shard,
+            },
+        );
+        shard_free + self.lock_handoff
+    }
+
+    /// Publishes the committed state to the epoch read side before the
+    /// Release store makes the new generation observable: a reader that
+    /// sees `live_gen == gen` finds a snapshot at least that new at the
+    /// head. Failed and read-only calls leave the generation unchanged
+    /// and skip the clone. Called with the inner write lock held, so
+    /// publications are totally ordered.
+    fn publish_if_moved(&self, engine: &CapEngine) {
+        let gen = engine.generation();
+        if gen != self.live_gen.load(Ordering::Acquire) {
+            self.reads.publish(gen, Arc::new(engine.clone()));
+        }
+        self.live_gen.store(gen, Ordering::Release);
+    }
+
+    /// Queues the domains that *lost* translations into `core`'s
+    /// invalidation batch for a coalesced cross-core shootdown, instead
+    /// of IPI-ing inline.
+    fn queue_losers(&self, core: usize, losers: BTreeSet<DomainId>) {
+        if losers.is_empty() {
+            return;
+        }
+        // Callers validated `core`; `get` keeps the no-panic discipline
+        // anyway.
+        let Some(batch) = self.pending.get(core) else {
+            return;
+        };
+        let mut pending = mutex_lock(batch);
+        for d in losers {
+            SmpStats::bump(&self.stats.shootdowns_requested);
+            if pending.insert(d) {
+                self.trace
+                    .emit(core as u32, EventKind::ShootQueue { domain: d.0 });
+            }
+        }
     }
 
     /// The domains a call touches, for shard locking, plus the subset
@@ -1297,6 +1247,43 @@ mod tests {
         assert_eq!(results.len(), 2, "inline enumerate never entered the ring");
         assert!(matches!(results[0], Ok(CallResult::NewDomain { .. })), "{results:?}");
         assert!(matches!(results[1], Ok(CallResult::Cap(_))), "{results:?}");
+    }
+
+    #[test]
+    fn shard_routing_masks_by_rounded_count() {
+        // (requested, rounded) shard counts. Routing is `id & (n - 1)`: a
+        // pure function of the id, so both sides of a cross-domain call
+        // agree on the shard order; never a remainder by the requested
+        // count; and a zero request clamps to one shard.
+        for (requested, n) in [(ConcurrentMonitor::DEFAULT_SHARDS, 16), (7, 8), (4, 4), (0, 1)] {
+            let cm = ConcurrentMonitor::with_config(boot_x86(BootConfig::default()), requested, 1);
+            assert_eq!(cm.shards.len(), n, "{requested} shards round up to {n}");
+            for raw in [0u64, 1, 3, 7, 8, 9, 11, 19, 1023] {
+                assert_eq!(cm.shard_index(DomainId(raw)), (raw % n as u64) as usize);
+            }
+            assert!(matches!(
+                cm.serve(0, MonitorCall::CreateDomain),
+                Ok(CallResult::NewDomain { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn snapshot_reused_until_mutation() {
+        let (cm, _doms) = smp_fixture();
+        let a = cm.snapshot();
+        let b = cm.snapshot();
+        assert!(Arc::ptr_eq(&a, &b), "unchanged engine reuses the published slot");
+        let domains = a.domains().count();
+        // A refused call leaves the generation alone and publishes nothing.
+        assert!(cm.serve(0, MonitorCall::Kill { domain: DomainId(u64::MAX) }).is_err());
+        assert!(Arc::ptr_eq(&a, &cm.snapshot()), "failed call skips the clone");
+        cm.serve(0, MonitorCall::CreateDomain).unwrap();
+        let c = cm.snapshot();
+        assert!(!Arc::ptr_eq(&a, &c), "mutation publishes a fresh snapshot");
+        assert_eq!(c.domains().count(), domains + 1);
+        // The old snapshot still reads its point-in-time state.
+        assert_eq!(a.domains().count(), domains);
     }
 
     #[test]

@@ -135,9 +135,7 @@ pub fn param<'a>(params: &'a [(String, String)], key: &str) -> Option<&'a str> {
     params.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
 }
 
-/// The scenario matrix for one suite. Mirrors the in-process
-/// `bench`/`bench --smp`/`bench --scale` matrices so the harnessed
-/// artifacts stay row-compatible with their predecessors; invocation
+/// The scenario matrix for one suite, full or smoke-sized. Invocation
 /// counts trade repetition against suite cost (the 1M-domain sweep runs
 /// once, the cheap hot-path scenarios three times).
 pub fn suite_specs(family: Family, smoke: bool) -> Vec<ChildSpec> {
@@ -420,17 +418,6 @@ pub struct MergedScenario {
     pub children: Vec<ChildRecord>,
 }
 
-impl MergedScenario {
-    /// Wraps a single in-process run (no child spawn) in the same
-    /// shape, so `bench --json` and the orchestrator share one artifact
-    /// assembler.
-    pub fn from_single(id: String, row: Json, hists: Vec<(String, Histogram)>) -> Self {
-        let digest = hists_digest(&hists);
-        let child_id = format!("{id}#inprocess");
-        Self { id, row, hists, children: vec![ChildRecord { id: child_id, digest }] }
-    }
-}
-
 /// Merges the invocations of one scenario: verifies they agree on the
 /// id and on every deterministic field (a simulated-cycle metric that
 /// differs between two runs of the same binary is a determinism bug,
@@ -681,24 +668,20 @@ fn manifest_block(m: &Manifest) -> String {
     )
 }
 
-fn f64_field(row: &Json, key: &str) -> f64 {
-    row.get(key).and_then(Json::as_f64).unwrap_or(0.0)
+/// The number at a dotted `path` in `row`, or 0 when absent.
+fn f64_field(row: &Json, path: &str) -> f64 {
+    row.path(path).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-/// Assembles the final artifact document for a run. `generator` is
-/// `"harness"` for orchestrated runs and `"inprocess"` for single-run
-/// `bench --json`; `root` anchors the git queries for the manifest.
-pub fn assemble_artifact(
-    run: &SuiteRun,
-    monitor_version: &str,
-    root: &Path,
-    generator: &str,
-) -> String {
+/// Assembles the final artifact document for an orchestrated run; the
+/// manifest's generator is `"harness"`. `root` anchors the git queries
+/// for the manifest.
+pub fn assemble_artifact(run: &SuiteRun, monitor_version: &str, root: &Path) -> String {
     let children: Vec<ChildRecord> =
         run.rows.iter().flat_map(|r| r.children.iter().cloned()).collect();
     let manifest = Manifest::capture(
         root,
-        generator,
+        "harness",
         run.seeds.clone(),
         &run.config,
         run.invocations,
@@ -719,8 +702,9 @@ pub fn assemble_artifact(
     match run.family {
         Family::Hotpath => {}
         Family::Smp => {
-            // Headline stats, recomputed from the merged rows exactly as
-            // the in-process suite computed them from its entries.
+            // Headline stats, computed from the merged rows: the
+            // distinct-domain throughput from the lowest to the highest
+            // thread count, and the widest rows against the mutex.
             let distinct: Vec<&MergedScenario> = run
                 .rows
                 .iter()
@@ -1008,7 +992,7 @@ fn check_manifest(doc: &Json, failures: &mut Vec<String>) {
             if m.generator != "harness" {
                 failures.push(format!(
                     "generator is {:?} — committed bench artifacts must come from \
-                     `repro harness`, not in-process runs",
+                     `repro harness`",
                     m.generator
                 ));
             }
@@ -1085,6 +1069,14 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
                     failures.push(format!("headline field {key:?} missing"));
                 }
             }
+            // Acceptance floor: distinct-domain throughput scales at
+            // least 3x from the lowest to the highest thread count.
+            let scaling = f64_field(doc, "distinct_scaling");
+            if doc.get("distinct_scaling").is_some() && scaling < 3.0 {
+                failures.push(format!(
+                    "distinct_scaling is {scaling:.2}x (acceptance floor is >= 3x)"
+                ));
+            }
             check_rows_have(rows, "call_latency.p50", &mut failures, Family::Smp);
             // The IPI tripwire the old grep gate carried: contended rows
             // with zero IPIs mean the victim-core design silently broke.
@@ -1113,6 +1105,23 @@ pub fn check_artifact(doc: &Json) -> Vec<String> {
             check_rows_have(rows, "bytes_per_domain", &mut failures, Family::Scale);
             check_rows_have(rows, "percentiles.create.p50", &mut failures, Family::Scale);
             check_rows_have(rows, "percentiles.revoke_storm.p999", &mut failures, Family::Scale);
+            // Acceptance bound: the revoke-storm per-op cost at the
+            // largest population stays within 3x of the smallest.
+            let population = |r: &&Json| r.get("population").and_then(Json::as_u64).unwrap_or(0);
+            if let (Some(small), Some(large)) =
+                (rows.iter().min_by_key(population), rows.iter().max_by_key(population))
+            {
+                let ratio = f64_field(large, "revoke_storm_ns_per_op")
+                    / f64_field(small, "revoke_storm_ns_per_op").max(f64::MIN_POSITIVE);
+                if ratio > 3.0 {
+                    failures.push(format!(
+                        "revoke storm at population {} costs {ratio:.2}x the per-op cost at {} \
+                         (bound is <= 3x)",
+                        population(&large),
+                        population(&small)
+                    ));
+                }
+            }
         }
         "tyche-bench-fleet/v1" => {
             check_mode_full(doc, &mut failures);
@@ -1337,6 +1346,64 @@ mod tests {
         )
         .unwrap();
         assert!(check_artifact(&trace).iter().any(|f| f.contains("overhead")));
+    }
+
+    #[test]
+    fn check_bounds_scale_revoke_storm_ratio() {
+        let scale = |small: u64, large: u64| {
+            json::parse(&format!(
+                r#"{{"schema": "tyche-bench-scale/v2", "mode": "full", "populations": [
+                    {{"population": 1000000, "revoke_storm_ns_per_op": {large}}},
+                    {{"population": 1000, "revoke_storm_ns_per_op": {small}}}
+                ]}}"#
+            ))
+            .unwrap()
+        };
+        let storm = |doc: &Json| {
+            check_artifact(doc).into_iter().filter(|f| f.contains("revoke storm")).count()
+        };
+        // The committed sweep's ratio (1,648 / 988 = 1.67x) passes.
+        assert_eq!(storm(&scale(988, 1_648)), 0);
+        let failures = check_artifact(&scale(988, 3_000));
+        assert!(
+            failures.iter().any(|f| f.contains("revoke storm") && f.contains("3.04x")),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn check_bounds_smp_distinct_scaling() {
+        let smp = |scaling: f64| {
+            json::parse(&format!(
+                r#"{{"schema": "tyche-bench-smp/v3", "mode": "full", "distinct_scaling": {scaling}, "benches": []}}"#
+            ))
+            .unwrap()
+        };
+        let floor = |doc: &Json| {
+            check_artifact(doc).into_iter().filter(|f| f.contains("distinct_scaling is")).count()
+        };
+        assert_eq!(floor(&smp(15.89)), 0);
+        assert_eq!(floor(&smp(3.0)), 0);
+        let failures = check_artifact(&smp(2.5));
+        assert!(failures.iter().any(|f| f.contains("distinct_scaling is 2.50x")), "{failures:?}");
+    }
+
+    #[test]
+    fn check_bounds_fleet_byzantine_tail() {
+        let fleet = |byz_p99: u64| {
+            json::parse(&format!(
+                r#"{{"schema": "tyche-bench-fleet/v1", "mode": "full", "fleets": [
+                    {{"machines": 4, "byzantine": 0, "faulted": 0, "latency": {{"p99": 1000}}}},
+                    {{"machines": 4, "byzantine": 1, "faulted": 0, "quarantined": 3, "latency": {{"p99": {byz_p99}}}}}
+                ]}}"#
+            ))
+            .unwrap()
+        };
+        let tail = |doc: &Json| {
+            check_artifact(doc).into_iter().filter(|f| f.contains("degraded")).count()
+        };
+        assert_eq!(tail(&fleet(600)), 0);
+        assert_eq!(tail(&fleet(2_500)), 1);
     }
 
     #[test]

@@ -238,9 +238,9 @@ fn harness_smoke_refuses_to_overwrite_full_artifact() {
 }
 
 #[test]
-fn bench_json_smoke_leaves_committed_artifact_untouched() {
-    // `repro bench --json --smoke` with no --out must resolve into
-    // target/, never the committed workspace-root artifact.
+fn harness_smoke_default_path_leaves_committed_artifact_untouched() {
+    // `repro harness --suite hotpath --smoke` with no --out must
+    // resolve into target/, never the committed workspace-root artifact.
     let workspace = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(std::path::Path::parent)
@@ -248,8 +248,11 @@ fn bench_json_smoke_leaves_committed_artifact_untouched() {
         .to_path_buf();
     let committed = workspace.join("BENCH_hotpath.json");
     let before = std::fs::read_to_string(&committed).ok();
-    let out = repro().args(["bench", "--json", "--smoke"]).output().expect("run bench smoke");
-    assert!(out.status.success(), "bench smoke failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = repro()
+        .args(["harness", "--suite", "hotpath", "--smoke"])
+        .output()
+        .expect("run harness smoke");
+    assert!(out.status.success(), "harness smoke failed: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         stdout.contains("BENCH_hotpath.smoke.json"),

@@ -2,28 +2,31 @@
 //!
 //! [`ConcurrentMonitor`] lets one worker thread per modeled core issue
 //! hypercalls against a shared monitor. It is the only SMP layer: it
-//! owns the domain shard table, the mask routing, and the
-//! publish-on-mutate step into the epoch read side
-//! (`tyche_core::shared`). Three serving tiers:
+//! owns the domain shard table and the mask routing
+//! (`tyche_core::shared`). The engine lives in one place, the inner
+//! monitor behind an `RwLock`; no tier copies it. Three serving tiers:
 //!
-//! - **Read-only calls** (`Enumerate`) run against a published snapshot
-//!   from the epoch read side ([`EpochReadSide`]): every committed
-//!   mutation publishes a fresh `Arc<CapEngine>` clone, so a read is one
-//!   Acquire head load plus an uncontended slot read — no snapshot-cache
-//!   mutex, no shard lock. Readers pin their core's epoch slot for the
-//!   duration, which keeps the snapshot they hold off the reclamation
-//!   path (retire-after-grace; see `tyche_core::shared`).
+//! - **Read-only calls** (`Enumerate`) run against the live engine under
+//!   the inner lock's *read* guard: readers share the guard with each
+//!   other and wait only for a mutation in progress, never for a shard
+//!   lock. The generation read under the same guard goes into the
+//!   `SnapRead` trace event, so the `gen-monotonic` checker sees exactly
+//!   the state each read observed.
 //! - **Fast transitions** (`Enter` through a `NONE`-policy transition
-//!   capability, and the matching `Return`) touch only per-core state:
-//!   validation runs on the snapshot, the VMFUNC switch is charged to
-//!   the core's own clock, and no shared lock is taken. This is the
-//!   paper's "fast (100 cycles) transitions" path, now per-core.
-//! - **Mutations** (everything else) take the *shard locks* of every
-//!   involved domain — in ascending shard order, the global rule that
-//!   makes cross-domain grants and revokes deadlock-free — and then the
-//!   inner monitor lock for the actual state change. Shards are routed
-//!   by `domain id & mask` over a power-of-two table fixed at
-//!   construction.
+//!   capability, and the matching `Return`) touch only per-core state: a
+//!   cache hit (keyed on the generation published in `live_gen`) takes no
+//!   shared lock at all; a miss validates under the inner read guard and
+//!   keys the cache on the generation read there. The VMFUNC switch is
+//!   charged to the core's own clock. This is the paper's "fast (100
+//!   cycles) transitions" path, now per-core.
+//! - **Mutations** (everything else) compute their involved domains
+//!   under a short inner read guard, drop it, take the *shard locks* of
+//!   every involved domain — in ascending shard order, the global rule
+//!   that makes cross-domain grants and revokes deadlock-free — and then
+//!   the inner write lock for the actual state change. Shootdown targets
+//!   are computed under that write lock, against the state the call
+//!   executes on. Shards are routed by `domain id & mask` over a
+//!   power-of-two table fixed at construction.
 //!
 //! ## Simulated-time contention model
 //!
@@ -53,8 +56,8 @@
 //! the IPI + remote-flush cost through [`Machine::shootdown`] — one IPI
 //! per (core, batch) however many pending invalidations coalesced into
 //! it, replacing the single-stream `sync_effects` model. Until a core's
-//! shootdown is delivered, its fast path may still validate against the
-//! pre-revocation snapshot — the same TOCTOU grace window real
+//! shootdown is delivered, a domain it already entered keeps running on
+//! the pre-revocation translations — the same TOCTOU grace window real
 //! shootdown-based revocation has between the capability update and the
 //! remote TLB flush.
 //!
@@ -96,7 +99,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 
 use tyche_core::engine::CapEngine;
 use tyche_core::ids::{CapId, DomainId};
-use tyche_core::shared::{shard_count, shard_of, EpochReadSide};
+use tyche_core::shared::{shard_count, shard_of};
 use tyche_core::trace::{EventKind, TraceSink};
 use tyche_core::RevocationPolicy;
 use tyche_hw::cycles::{CycleCounter, PerCoreClocks};
@@ -157,7 +160,7 @@ pub struct SmpStats {
     pub mutations: AtomicU64,
     /// Fast (per-core, no-lock) transitions, one per one-way switch.
     pub fast_transitions: AtomicU64,
-    /// Read-only calls served from a snapshot.
+    /// Read-only calls served under the inner read guard.
     pub snapshot_reads: AtomicU64,
     /// Domain invalidations queued for shootdown (pre-coalescing).
     pub shootdowns_requested: AtomicU64,
@@ -198,11 +201,9 @@ pub struct ConcurrentMonitor {
     /// deterministic — it never depends on which core happens to sync
     /// first.
     pending: Vec<Mutex<BTreeSet<DomainId>>>,
-    /// Engine generation after the most recent committed mutation.
+    /// Engine generation after the most recent committed mutation, for
+    /// the lock-free fast-path cache check.
     live_gen: AtomicU64,
-    /// Epoch read side: published snapshots, one reader pin slot per
-    /// core, retire-after-grace reclamation.
-    reads: EpochReadSide,
     /// Per-core submission rings of pending mutating calls.
     rings: Vec<Mutex<Vec<MonitorCall>>>,
     /// Ring depth at which `submit` force-drains the ring.
@@ -265,7 +266,6 @@ impl ConcurrentMonitor {
         let clocks = Arc::clone(&monitor.machine.core_clocks);
         let trace = monitor.trace().clone();
         let gen = monitor.engine.generation();
-        let snap = Arc::new(monitor.engine.clone());
         let core_count = monitor.machine.cores;
         let cores = (0..core_count)
             .map(|core| {
@@ -288,7 +288,6 @@ impl ConcurrentMonitor {
             clocks,
             pending: (0..core_count).map(|_| Mutex::new(BTreeSet::new())).collect(),
             live_gen: AtomicU64::new(gen),
-            reads: EpochReadSide::new(gen, snap, core_count.max(1)),
             rings: (0..core_count).map(|_| Mutex::new(Vec::new())).collect(),
             ring_depth: ring_depth.max(1),
             stats: SmpStats::default(),
@@ -305,11 +304,6 @@ impl ConcurrentMonitor {
     /// The configured submission-ring depth.
     pub fn ring_depth(&self) -> usize {
         self.ring_depth
-    }
-
-    /// The epoch read side (reader pins, reclamation counters).
-    pub fn epochs(&self) -> &EpochReadSide {
-        &self.reads
     }
 
     /// The shard index a domain maps to: its id masked by the
@@ -333,8 +327,9 @@ impl ConcurrentMonitor {
         self.clocks.max_now()
     }
 
-    /// Runs `f` with read access to the inner monitor (blocks mutations
-    /// for the duration; use for assertions and teardown, not serving).
+    /// Runs `f` under the inner read guard: the live engine, shared with
+    /// every other reader, while mutations wait. Keep `f` short; the
+    /// serving tiers take the same guard.
     pub fn with_inner<R>(&self, f: impl FnOnce(&Monitor) -> R) -> R {
         f(&read_lock(&self.inner))
     }
@@ -346,16 +341,6 @@ impl ConcurrentMonitor {
             Ok(m) => m,
             Err(p) => p.into_inner(),
         }
-    }
-
-    /// A point-in-time engine snapshot: the newest published clone from
-    /// the epoch read side. One Acquire head load plus an uncontended
-    /// slot read — no snapshot-cache mutex, no shard lock, no inner
-    /// lock. Every committed mutation publishes before it releases the
-    /// inner lock, so the head can lag a mutation only within the same
-    /// window a real remote core has before its shootdown lands.
-    pub fn snapshot(&self) -> Arc<CapEngine> {
-        self.reads.current()
     }
 
     /// Serves one hypercall issued by the domain running on `core`.
@@ -372,9 +357,9 @@ impl ConcurrentMonitor {
         }
     }
 
-    /// Read tier: enumerate on a published snapshot, pinned for the
-    /// duration. Charges the trap cost to the calling core's clock;
-    /// takes no shared lock at all.
+    /// Read tier: enumerate on the live engine under the inner read
+    /// guard. Charges the trap cost to the calling core's clock; takes
+    /// no shard lock.
     fn serve_enumerate(&self, core: usize) -> Result<CallResult, Status> {
         SmpStats::bump(&self.stats.snapshot_reads);
         let start = self.clocks.now(core);
@@ -383,14 +368,14 @@ impl ConcurrentMonitor {
         let leaf = MonitorCall::Enumerate.encode().0;
         self.trace
             .emit(core as u32, EventKind::HyperEnter { leaf, actor: actor.0 });
-        // Pin this core's epoch slot before loading the head: everything
-        // published-then-displaced from here on stays on the retired
-        // list until the pin drops, so the borrowed view cannot be
-        // reclaimed mid-read however long enumeration takes.
-        let _pin = self.reads.pin(core);
-        let (gen, snap) = self.reads.current_with_gen();
-        self.trace.emit(core as u32, EventKind::SnapRead { gen });
-        let res = snap.enumerate(actor).map_err(crate::monitor::cap_status);
+        let res = {
+            // The generation and the enumeration come from one guard, so
+            // `SnapRead` names exactly the state this read observed.
+            let inner = read_lock(&self.inner);
+            let gen = inner.engine.generation();
+            self.trace.emit(core as u32, EventKind::SnapRead { gen });
+            inner.engine.enumerate(actor).map_err(crate::monitor::cap_status)
+        };
         let code = match &res {
             Ok(_) => 0,
             Err(s) => *s as u64,
@@ -405,9 +390,10 @@ impl ConcurrentMonitor {
         self.cores.get(core).ok_or(Status::InvalidArg)
     }
 
-    /// Fast-or-mediated enter. The fast path validates on the snapshot
-    /// and touches only this core's state; flush-policy transitions and
-    /// non-x86 architectures fall back to the mediated (mutating) tier.
+    /// Fast-or-mediated enter. A fast-path cache hit touches only this
+    /// core's state; a miss validates under the inner read guard.
+    /// Flush-policy transitions and non-x86 architectures fall back to
+    /// the mediated (mutating) tier.
     fn serve_enter(&self, core: usize, cap: CapId) -> Result<CallResult, Status> {
         if self.arch == Arch::X86 {
             let mut state = mutex_lock(self.core_state(core)?);
@@ -432,8 +418,11 @@ impl ConcurrentMonitor {
                     Some(v)
                 }
                 None => {
-                    let snap = self.snapshot();
-                    match snap.can_enter(actor, cap, core) {
+                    // Key the fill on the generation read under the same
+                    // guard as the validation, never on `live_gen`.
+                    let inner = read_lock(&self.inner);
+                    let gen = inner.engine.generation();
+                    match inner.engine.can_enter(actor, cap, core) {
                         Ok((target, entry, policy)) if policy == RevocationPolicy::NONE => {
                             state.cache = Some((gen, actor, cap, target, entry));
                             self.trace.emit(
@@ -512,12 +501,9 @@ impl ConcurrentMonitor {
     fn serve_mutating(&self, core: usize, call: MonitorCall) -> Result<CallResult, Status> {
         let mut state = mutex_lock(self.core_state(core)?);
         let actor = state.current;
-        // One snapshot for the whole involved-set computation, so the
-        // set and the loser set come from a single generation (mixing
-        // generations across the per-cap lookups under-computed
-        // shootdown targets).
-        let snap = self.snapshot();
-        let (involved, losers) = self.involved_domains(&snap, actor, &call);
+        // The involved set comes from one generation, under a read guard
+        // dropped at the end of the statement, before the shard locks.
+        let (involved, _) = self.involved_domains(&read_lock(&self.inner).engine, actor, &call);
         let mut shard_idx: Vec<usize> = involved.iter().map(|&d| self.shard_index(d)).collect();
         shard_idx.sort_unstable();
         shard_idx.dedup();
@@ -549,6 +535,10 @@ impl ConcurrentMonitor {
             return Err(Status::Denied);
         }
         let t0 = self.shard_start(core, &shards, &shard_idx);
+        // Shootdown targets come from the state the call executes on:
+        // between the read above and the write lock, another core may
+        // have shared out of a subtree this call revokes.
+        let (_, losers) = self.involved_domains(&inner.engine, actor, &call);
         // The inner call charges the machine-global counter; the delta
         // is this operation's cost, re-charged to the core's timeline.
         let before = inner.machine.cycles.now();
@@ -559,7 +549,7 @@ impl ConcurrentMonitor {
         for s in &shards {
             s.clock.advance_to(end);
         }
-        self.publish_if_moved(&inner.engine);
+        self.publish_gen(&inner.engine);
         SmpStats::bump(&self.stats.mutations);
         // Mirror mediated transitions into the SMP view.
         match &result {
@@ -648,16 +638,18 @@ impl ConcurrentMonitor {
     ) -> Result<Vec<Result<CallResult, Status>>, Status> {
         let state = mutex_lock(self.core_state(core)?);
         let actor = state.current;
-        // One snapshot for the whole batch: the union is computed at a
+        // One read guard for the whole batch: the union is computed at a
         // single generation. Intra-batch mutations may shift ownership
         // mid-batch — the shard locks only model contention, so a
         // pre-batch union stays safe; shootdown targets are recomputed
-        // per entry against the live engine below.
-        let snap = self.snapshot();
+        // per entry under the write lock below.
         let mut involved: BTreeSet<DomainId> = BTreeSet::new();
-        for call in batch {
-            let (inv, _) = self.involved_domains(&snap, actor, call);
-            involved.extend(inv);
+        {
+            let inner = read_lock(&self.inner);
+            for call in batch {
+                let (inv, _) = self.involved_domains(&inner.engine, actor, call);
+                involved.extend(inv);
+            }
         }
         let mut shard_idx: Vec<usize> = involved.iter().map(|&d| self.shard_index(d)).collect();
         shard_idx.sort_unstable();
@@ -710,7 +702,7 @@ impl ConcurrentMonitor {
             }
             results.push(result);
         }
-        self.publish_if_moved(&inner.engine);
+        self.publish_gen(&inner.engine);
         self.clocks.advance_to(core, t_end);
         for s in &shards {
             s.clock.advance_to(t_end);
@@ -758,18 +750,11 @@ impl ConcurrentMonitor {
         shard_free + self.lock_handoff
     }
 
-    /// Publishes the committed state to the epoch read side before the
-    /// Release store makes the new generation observable: a reader that
-    /// sees `live_gen == gen` finds a snapshot at least that new at the
-    /// head. Failed and read-only calls leave the generation unchanged
-    /// and skip the clone. Called with the inner write lock held, so
-    /// publications are totally ordered.
-    fn publish_if_moved(&self, engine: &CapEngine) {
-        let gen = engine.generation();
-        if gen != self.live_gen.load(Ordering::Acquire) {
-            self.reads.publish(gen, Arc::new(engine.clone()));
-        }
-        self.live_gen.store(gen, Ordering::Release);
+    /// Publishes the committed generation for the fast-path cache check
+    /// (Release, paired with the Acquire load in `serve_enter`). Called
+    /// with the inner write lock held, so stores are totally ordered.
+    fn publish_gen(&self, engine: &CapEngine) {
+        self.live_gen.store(engine.generation(), Ordering::Release);
     }
 
     /// Queues the domains that *lost* translations into `core`'s
@@ -797,12 +782,12 @@ impl ConcurrentMonitor {
     /// The domains a call touches, for shard locking, plus the subset
     /// that *loses* translations (shootdown targets), all computed
     /// against the **one** engine state the caller passes in — never a
-    /// fresh snapshot per cap, which could mix generations within a
-    /// single involved-set computation and under-compute shootdown
-    /// targets. The involved set is conservative — a superset is always
-    /// safe, since the inner lock guarantees correctness and shards only
-    /// model contention — but tight enough that distinct-domain
-    /// workloads stay disjoint. The loser set mirrors the backends'
+    /// fresh read per cap, which could mix generations within a single
+    /// involved-set computation and under-compute shootdown targets. The
+    /// involved set is conservative — a superset is always safe, since
+    /// the inner lock guarantees correctness and shards only model
+    /// contention — but tight enough that distinct-domain workloads stay
+    /// disjoint. The loser set mirrors the backends'
     /// flush rule: map-only changes (share, split, create) never shoot
     /// down; grant strips the granter, revoke strips the subtree owners,
     /// kill strips the dead domain.
@@ -978,6 +963,18 @@ mod tests {
         (ConcurrentMonitor::new(m), out)
     }
 
+    /// `domain`'s memory capabilities, read from the live engine.
+    fn memory_caps_of(cm: &ConcurrentMonitor, domain: DomainId) -> Vec<CapId> {
+        cm.with_inner(|m| {
+            m.engine
+                .caps_of(domain)
+                .iter()
+                .filter(|c| matches!(c.resource, Resource::Memory(_)))
+                .map(|c| c.id)
+                .collect()
+        })
+    }
+
     #[test]
     fn fast_transitions_stay_per_core() {
         let (cm, doms) = smp_fixture();
@@ -1079,13 +1076,7 @@ mod tests {
         cm.serve(1, MonitorCall::Enter { cap: cap1 }).unwrap();
         // Root on core 0 revokes two of d1's capabilities; both queue
         // invalidations, but one sync sends a single IPI to core 1.
-        let caps: Vec<CapId> = cm
-            .snapshot()
-            .caps_of(d1)
-            .iter()
-            .filter(|c| matches!(c.resource, tyche_core::Resource::Memory(_)))
-            .map(|c| c.id)
-            .collect();
+        let caps = memory_caps_of(&cm, d1);
         for cap in caps {
             cm.serve(0, MonitorCall::Revoke { cap }).unwrap();
         }
@@ -1096,45 +1087,43 @@ mod tests {
     }
 
     /// Regression test for the torn-snapshot bug: `involved_domains`
-    /// used to call `self.snapshot()` separately per cap, so a mutation
+    /// used to read the engine separately per cap, so a mutation
     /// committing between the lookups could make one computation mix
-    /// two generations. The fixed signature takes the snapshot as a
+    /// two generations. The fixed signature takes the engine state as a
     /// parameter, which makes the result a pure function of one
     /// generation — interleaved mutations (modeled both with a real
     /// served call and with the corruption hooks) must not change it.
+    /// The held state is a second, identical fixture, so the test needs
+    /// no engine copy.
     #[test]
     fn involved_set_computed_at_one_generation() {
         let (cm, doms) = smp_fixture();
+        let (held, _) = smp_fixture();
         let (d1, _) = doms[1];
         let root = cm.with_inner(|m| m.engine.root().unwrap());
-        let snap = cm.snapshot();
-        let cap = snap
-            .caps_of(d1)
-            .iter()
-            .find(|c| matches!(c.resource, Resource::Memory(_)))
-            .map(|c| c.id)
-            .unwrap();
+        let cap = *memory_caps_of(&cm, d1).first().unwrap();
         let call = MonitorCall::Revoke { cap };
-        let before = cm.involved_domains(&snap, root, &call);
+        let on_held = || held.with_inner(|m| cm.involved_domains(&m.engine, root, &call));
+        let before = on_held();
         assert!(before.0.contains(&d1), "owner of the revoked cap is involved");
         assert!(before.1.contains(&d1), "memory revocation shoots d1 down");
+        assert_eq!(before, cm.with_inner(|m| cm.involved_domains(&m.engine, root, &call)));
         // A mutation interleaves: the cap is revoked for real. The
-        // computation against the *held* snapshot must not change.
+        // computation against the *held* state must not change.
         cm.serve(0, call).unwrap();
-        let after = cm.involved_domains(&snap, root, &call);
-        assert_eq!(before, after, "one snapshot in => one generation out");
-        // Same property under the corruption hooks: tampering a clone
-        // (the interleaved-mutation stand-in the pre-fix code could
-        // have observed mid-computation) changes the answer, proving
-        // the per-cap re-snapshot really could tear the set...
-        let mut tampered = (*snap).clone();
-        if let Some(c) = tampered.corrupt_cap(cap) {
+        assert_eq!(on_held(), before, "one engine state in => one generation out");
+        // Same property under the corruption hooks: tampering a copy of
+        // the state (the interleaved-mutation stand-in the pre-fix code
+        // could have observed mid-computation) changes the answer,
+        // proving a per-cap re-read really could tear the set...
+        let mut tampered = smp_fixture().0.finish();
+        if let Some(c) = tampered.engine.corrupt_cap(cap) {
             c.owner = root;
         }
-        let torn = cm.involved_domains(&tampered, root, &call);
+        let torn = cm.involved_domains(&tampered.engine, root, &call);
         assert_ne!(before, torn, "a different generation gives a different set");
-        // ...while the held snapshot still answers as before.
-        assert_eq!(cm.involved_domains(&snap, root, &call), before);
+        // ...while the held state still answers as before.
+        assert_eq!(on_held(), before);
     }
 
     #[test]
@@ -1185,13 +1174,7 @@ mod tests {
         let (d1, cap1) = doms[1];
         // Core 1 fast-enters its domain so a shootdown can target it.
         cm.serve(1, MonitorCall::Enter { cap: cap1 }).unwrap();
-        let caps: Vec<CapId> = cm
-            .snapshot()
-            .caps_of(d1)
-            .iter()
-            .filter(|c| matches!(c.resource, tyche_core::Resource::Memory(_)))
-            .map(|c| c.id)
-            .collect();
+        let caps = memory_caps_of(&cm, d1);
         assert!(!caps.is_empty());
         for cap in caps {
             match cm.submit(0, MonitorCall::Revoke { cap }) {
@@ -1268,46 +1251,22 @@ mod tests {
         }
     }
 
+    /// Readers key on `generation()`: a refused call must leave it
+    /// alone (the fast-path cache stays warm), and a committed mutation
+    /// must move it, both in the engine and in the published `live_gen`.
     #[test]
     fn snapshot_reused_until_mutation() {
         let (cm, _doms) = smp_fixture();
-        let a = cm.snapshot();
-        let b = cm.snapshot();
-        assert!(Arc::ptr_eq(&a, &b), "unchanged engine reuses the published slot");
-        let domains = a.domains().count();
-        // A refused call leaves the generation alone and publishes nothing.
+        let gen = || cm.with_inner(|m| m.engine.generation());
+        let g0 = gen();
+        let domains = cm.with_inner(|m| m.engine.domains().count());
+        assert_eq!(cm.live_gen.load(Ordering::Acquire), g0);
         assert!(cm.serve(0, MonitorCall::Kill { domain: DomainId(u64::MAX) }).is_err());
-        assert!(Arc::ptr_eq(&a, &cm.snapshot()), "failed call skips the clone");
+        assert_eq!(gen(), g0, "a refused call leaves the generation unchanged");
+        assert_eq!(cm.live_gen.load(Ordering::Acquire), g0);
         cm.serve(0, MonitorCall::CreateDomain).unwrap();
-        let c = cm.snapshot();
-        assert!(!Arc::ptr_eq(&a, &c), "mutation publishes a fresh snapshot");
-        assert_eq!(c.domains().count(), domains + 1);
-        // The old snapshot still reads its point-in-time state.
-        assert_eq!(a.domains().count(), domains);
-    }
-
-    #[test]
-    fn enumerate_pins_epoch_across_publication_storm() {
-        let (cm, _doms) = smp_fixture();
-        // A storm of committed mutations publishes a snapshot each; with
-        // no reader pinned they reclaim as they retire.
-        for _ in 0..8 {
-            cm.serve(0, MonitorCall::CreateDomain).unwrap();
-        }
-        assert!(cm.epochs().published() >= 8);
-        assert_eq!(cm.epochs().retired_len(), 0, "no pins => retirees reclaimed");
-        // A pinned reader holds the horizon while further publications
-        // displace slots under it.
-        let pin = cm.epochs().pin(1);
-        let view = cm.snapshot();
-        let doms_before = view.domains().count();
-        for _ in 0..8 {
-            cm.serve(0, MonitorCall::CreateDomain).unwrap();
-        }
-        assert!(cm.epochs().retired_len() > 0, "pin defers reclamation");
-        assert_eq!(view.domains().count(), doms_before, "pinned view is stable");
-        drop(pin);
-        cm.epochs().reclaim();
-        assert_eq!(cm.epochs().retired_len(), 0);
+        assert!(gen() > g0, "a mutation moves the generation");
+        assert_eq!(cm.live_gen.load(Ordering::Acquire), gen(), "and publishes it");
+        assert_eq!(cm.with_inner(|m| m.engine.domains().count()), domains + 1);
     }
 }

@@ -3,8 +3,8 @@
 //! One worker thread per modeled core serves capability mutations
 //! (create/share/grant/revoke/seal/set-entry/make-transition) as
 //! hypercalls of the tenant running on that core, through
-//! [`ConcurrentMonitor::serve`], while also auditing point-in-time
-//! snapshots. Every call is recorded with its core, its concrete
+//! [`ConcurrentMonitor::serve`], while also auditing the engine under
+//! the read guard. Every call is recorded with its core, its concrete
 //! arguments and its result. The monitor's trace numbers every event
 //! globally, and a mutating call's `HyperEnter` is emitted under the
 //! inner write lock, so ordering the calls by that sequence number is a
@@ -198,81 +198,82 @@ fn concurrent_mutations_linearize_and_audit_clean() {
                 let peer = lanes[(tid + 1) % THREADS].mailbox;
                 let mut log: Vec<Served> = Vec::with_capacity(OPS_PER_THREAD);
                 for i in 0..OPS_PER_THREAD {
-                    // Decide the call and its *concrete* arguments from a
-                    // point-in-time snapshot; the shared state may move
-                    // before the mutation commits, which is exactly the
-                    // raciness the replay check has to absorb.
-                    let snap = cm.snapshot();
-                    let call = match rng.below(10) {
-                        0 | 1 => MonitorCall::CreateDomain,
-                        2 | 3 => {
-                            // Share a random page of my window with the
-                            // next lane's mailbox, one of my own children,
-                            // or myself (a sub-share I can grant onward).
-                            let base = window_base(tid);
-                            let page = rng.below(WINDOW / 0x1000 - 1) * 0x1000;
-                            let target = match rng.below(3) {
-                                0 => peer,
-                                1 => pick_child(&snap, me, &mut rng).unwrap_or(peer),
-                                _ => me,
-                            };
-                            MonitorCall::Share {
-                                cap: my_window,
-                                target,
-                                sub: Some((base + page, base + page + 0x1000)),
-                                rights: Rights::RW,
-                                policy: RevocationPolicy::NONE,
-                            }
-                        }
-                        4 => {
-                            // Grant a previously shared sub-capability onward.
-                            match pick_cap(&snap, me, my_window, &mut rng) {
-                                Some(cap) => MonitorCall::Grant {
-                                    cap,
-                                    target: own_mailbox,
+                    // Decide the call and its *concrete* arguments under a
+                    // read guard; the shared state may move before the
+                    // mutation commits, which is exactly the raciness the
+                    // replay check has to absorb.
+                    let call = cm.with_inner(|m| {
+                        let snap = &m.engine;
+                        match rng.below(10) {
+                            0 | 1 => MonitorCall::CreateDomain,
+                            2 | 3 => {
+                                // Share a random page of my window with the
+                                // next lane's mailbox, one of my own children,
+                                // or myself (a sub-share I can grant onward).
+                                let base = window_base(tid);
+                                let page = rng.below(WINDOW / 0x1000 - 1) * 0x1000;
+                                let target = match rng.below(3) {
+                                    0 => peer,
+                                    1 => pick_child(snap, me, &mut rng).unwrap_or(peer),
+                                    _ => me,
+                                };
+                                MonitorCall::Share {
+                                    cap: my_window,
+                                    target,
+                                    sub: Some((base + page, base + page + 0x1000)),
                                     rights: Rights::RW,
-                                    policy: RevocationPolicy::ZERO,
+                                    policy: RevocationPolicy::NONE,
+                                }
+                            }
+                            4 => {
+                                // Grant a previously shared sub-capability onward.
+                                match pick_cap(snap, me, my_window, &mut rng) {
+                                    Some(cap) => MonitorCall::Grant {
+                                        cap,
+                                        target: own_mailbox,
+                                        rights: Rights::RW,
+                                        policy: RevocationPolicy::ZERO,
+                                    },
+                                    None => MonitorCall::CreateDomain,
+                                }
+                            }
+                            5 | 6 => {
+                                // Revoke something I handed out (I am the
+                                // granter of every cap derived from my window).
+                                match pick_granted(snap, me, &mut rng) {
+                                    Some(cap) => MonitorCall::Revoke { cap },
+                                    None => MonitorCall::CreateDomain,
+                                }
+                            }
+                            7 => match pick_child(snap, me, &mut rng) {
+                                Some(domain) => MonitorCall::SetEntry {
+                                    domain,
+                                    entry: window_base(tid),
                                 },
                                 None => MonitorCall::CreateDomain,
-                            }
-                        }
-                        5 | 6 => {
-                            // Revoke something I handed out (I am the
-                            // granter of every cap derived from my window).
-                            match pick_granted(&snap, me, &mut rng) {
-                                Some(cap) => MonitorCall::Revoke { cap },
+                            },
+                            8 => match pick_child(snap, me, &mut rng) {
+                                Some(domain) => MonitorCall::Seal {
+                                    domain,
+                                    allow_outward: true,
+                                    allow_children: true,
+                                },
                                 None => MonitorCall::CreateDomain,
-                            }
+                            },
+                            _ => MonitorCall::MakeTransition {
+                                target: me,
+                                policy: RevocationPolicy::NONE,
+                            },
                         }
-                        7 => match pick_child(&snap, me, &mut rng) {
-                            Some(domain) => MonitorCall::SetEntry {
-                                domain,
-                                entry: window_base(tid),
-                            },
-                            None => MonitorCall::CreateDomain,
-                        },
-                        8 => match pick_child(&snap, me, &mut rng) {
-                            Some(domain) => MonitorCall::Seal {
-                                domain,
-                                allow_outward: true,
-                                allow_children: true,
-                            },
-                            None => MonitorCall::CreateDomain,
-                        },
-                        _ => MonitorCall::MakeTransition {
-                            target: me,
-                            policy: RevocationPolicy::NONE,
-                        },
-                    };
+                    });
                     let result = cm.serve(tid, call);
                     log.push((tid, call, result));
                     cm.sync_shootdowns(tid);
-                    // Periodically audit a fresh snapshot: every committed
+                    // Periodically audit the live engine: every committed
                     // prefix of the linearization must be invariant-clean.
                     if i % 16 == 0 {
-                        let s = cm.snapshot();
                         assert!(
-                            audit(&s).is_empty(),
+                            cm.with_inner(|m| audit(&m.engine).is_empty()),
                             "snapshot audit failed (seed {seed}, thread {tid}, iter {i})"
                         );
                         snapshot_audits.fetch_add(1, Ordering::Relaxed);
@@ -344,7 +345,7 @@ fn concurrent_mutations_linearize_and_audit_clean() {
     );
 }
 
-/// A random unsealed child domain of `mgr` from the snapshot.
+/// A random unsealed child domain of `mgr` in `snap`.
 fn pick_child(snap: &CapEngine, mgr: DomainId, rng: &mut Rng) -> Option<DomainId> {
     let kids: Vec<DomainId> = snap
         .domains()

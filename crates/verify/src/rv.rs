@@ -29,9 +29,9 @@
 //!    `shoot-batch` must equal the `ipis` count that batch reports, and
 //!    no IPIs may be left unaccounted at a phase boundary.
 //! 5. **gen-monotonic** — the engine generation only moves forward:
-//!    `gen-bump` is strictly increasing, seqlock snapshots
-//!    (`snap-read`) are non-decreasing and never ahead of the last
-//!    bump.
+//!    `gen-bump` is strictly increasing, and the generations reads
+//!    observe (`snap-read`) are non-decreasing and never ahead of the
+//!    last bump.
 //! 6. **transition-stack** — enters and returns nest: every `return`
 //!    pops the matching `enter` (same pair, reversed), per core; and
 //!    hypercall enter/exit brackets stay balanced per core.

@@ -1,12 +1,13 @@
 //! Lint 3: atomics-ordering discipline.
 //!
 //! Two fields carry publication semantics and must pair Acquire loads
-//! with Release stores, exactly as DESIGN.md's seqlock argument
+//! with Release stores, exactly as DESIGN.md's publication argument
 //! requires:
 //!
-//! - `live_gen` — the seqlock generation on `ConcurrentMonitor`: a
-//!   reader that observes generation `g` with Acquire must see every
-//!   write the `g`-committing mutation made before its Release store.
+//! - `live_gen` — the published generation on `ConcurrentMonitor`: a
+//!   fast-path cache check that observes generation `g` with Acquire
+//!   must see every write the `g`-committing mutation made before its
+//!   Release store.
 //! - `enabled` — the trace-sink gate: a thread that observes the sink
 //!   enabled must see the reset sequence counter and lane setup.
 //!
@@ -22,7 +23,7 @@ use crate::parse::WorkspaceModel;
 /// Fields with required Acquire/Release pairing, with the argument the
 /// finding cites.
 pub const REQUIRED_PAIRING: &[(&str, &str)] = &[
-    ("live_gen", "seqlock generation: snapshot validation needs Acquire/Release pairing"),
+    ("live_gen", "published generation: fast-path cache validation needs Acquire/Release pairing"),
     ("enabled", "trace-sink gate: publication of sink state needs Acquire/Release pairing"),
 ];
 

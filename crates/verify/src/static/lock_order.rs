@@ -6,8 +6,7 @@
 //! > submission ring → per-core state → domain shards (ascending
 //! > index) → inner engine → pending-shootdown set
 //!
-//! plus the leaf-level epoch read-side locks (snapshot slots, retired
-//! list), the cross-machine channel table and NIC queue, and the
+//! plus the cross-machine channel table and NIC queue, and the
 //! trace-sink locks that sit after everything (channel code emits trace
 //! events while holding its guard). This module is
 //! that sentence made machine-checked:
@@ -36,22 +35,19 @@ pub const HIERARCHY: &[(&str, u8)] = &[
     ("domain-shard", 2),
     ("engine-inner", 3),
     ("pending-shootdown", 4),
-    ("snapshot-cache", 5),
-    ("epoch-retired", 6),
-    ("channel-table", 7),
-    ("nic-queue", 8),
-    ("trace-lanes", 9),
-    ("trace-lane", 10),
-    ("trace-spill-log", 11),
+    ("channel-table", 5),
+    ("nic-queue", 6),
+    ("trace-lanes", 7),
+    ("trace-lane", 8),
+    ("trace-spill-log", 9),
 ];
 
 /// Substring → class rules, checked in order against the argument text
-/// and then the statement context. First match wins — `ring` and
-/// `retired` come first so ring cells and the epoch retired list are
-/// never swallowed by the broader patterns below.
+/// and then the statement context. First match wins — `ring` comes
+/// first so ring cells are never swallowed by the broader patterns
+/// below.
 const PATTERNS: &[(&str, &str)] = &[
     ("ring", "submission-ring"),
-    ("retired", "epoch-retired"),
     // `nic_queue`, not bare `nic`: the latter is a substring of `panic`,
     // which shows up in plenty of statement contexts.
     ("nic_queue", "nic-queue"),
@@ -63,7 +59,6 @@ const PATTERNS: &[(&str, &str)] = &[
     ("inner", "engine-inner"),
     ("pending", "pending-shootdown"),
     ("batch", "pending-shootdown"),
-    ("snap", "snapshot-cache"),
     ("lanes", "trace-lanes"),
     ("lane", "trace-lane"),
     ("log", "trace-spill-log"),

@@ -15,7 +15,7 @@
 //!    call graph from the 14 hypercall leaves or the SMP serving tiers
 //!    unless its `(file, construct)` is allowlisted; reachable
 //!    allowlisted sites are reported with entrypoint → … → site paths.
-//! 3. [`atomics`] — the seqlock generation (`live_gen`) and trace
+//! 3. [`atomics`] — the published generation (`live_gen`) and trace
 //!    enable flag (`enabled`) must pair Acquire loads with Release
 //!    stores; any other `Relaxed` needs a `// verify: relaxed-ok
 //!    <reason>` annotation, and the annotation count is itself an exact

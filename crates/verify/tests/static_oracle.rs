@@ -152,21 +152,21 @@ impl Serving {
     assert!(findings[0].message.contains("twice"), "{}", findings[0].message);
 }
 
-/// The epoch read side's lock shape: the submission ring first (and
-/// dropped), then core state, the engine, a publish into a snapshot
-/// slot, and the retired list last. Everything the extended hierarchy
-/// allows.
-const EPOCH_LOCKS_OK: &str = r#"
+/// The serving tiers' lock shape: the submission ring first (and
+/// dropped), then core state, a short engine read guard dropped before
+/// the shard batch, the engine write lock, and the pending-shootdown
+/// batch last. Everything the hierarchy allows.
+const SERVING_LOCKS_OK: &str = r#"
 impl Reads {
-    pub fn drain_and_publish(&self, gen: u64) {
+    pub fn drain_and_mutate(&self, gen: u64) {
         let queued = mutex_lock(&self.ring_cell);
         drop(queued);
         let state = mutex_lock(&self.core_slot);
+        let view = read_lock(&self.inner);
+        drop(view);
         let eng = write_lock(&self.engine);
-        let published = write_lock(&self.snap_cell);
-        drop(published);
-        let retired = mutex_lock(&self.retired);
-        consume(&state, &eng, &retired);
+        let pending = mutex_lock(&self.pending_batch);
+        consume(&state, &eng, &pending);
     }
 }
 "#;
@@ -174,9 +174,9 @@ impl Reads {
 #[test]
 fn conforming_epoch_and_ring_locks_pass() {
     let model =
-        WorkspaceModel::from_sources(&[("core", "crates/core/src/epoch_ok.rs", EPOCH_LOCKS_OK)]);
+        WorkspaceModel::from_sources(&[("monitor", "crates/monitor/src/serving_ok.rs", SERVING_LOCKS_OK)]);
     let findings = lock_order::check(&model);
-    assert!(findings.is_empty(), "clean epoch fixture flagged: {findings:?}");
+    assert!(findings.is_empty(), "clean serving fixture flagged: {findings:?}");
 }
 
 #[test]
@@ -188,14 +188,14 @@ impl Reads {
         let queued = mutex_lock(&self.ring_cell);
         consume(&state, &queued);
     }
-    pub fn slot_after_retired(&self) {
-        let retired = mutex_lock(&self.retired);
-        let published = write_lock(&self.snap_cell);
-        consume(&retired, &published);
+    pub fn read_guard_across_shards(&self) {
+        let view = read_lock(&self.inner);
+        let shard = mutex_lock(&self.shards[0].lock);
+        consume(&view, &shard);
     }
 }
 "#;
-    let model = WorkspaceModel::from_sources(&[("core", "crates/core/src/epoch_bad.rs", src)]);
+    let model = WorkspaceModel::from_sources(&[("monitor", "crates/monitor/src/serving_bad.rs", src)]);
     let findings = lock_order::check(&model);
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(
@@ -204,9 +204,9 @@ impl Reads {
         "ring-after-core inversion missed: {findings:?}"
     );
     assert!(
-        findings.iter().any(|f| f.message.contains("acquires `snapshot-cache`")
-            && f.message.contains("`epoch-retired`")),
-        "slot-after-retired inversion missed: {findings:?}"
+        findings.iter().any(|f| f.message.contains("acquires `domain-shard`")
+            && f.message.contains("`engine-inner`")),
+        "shard-under-read-guard inversion missed: {findings:?}"
     );
 }
 
@@ -491,11 +491,11 @@ impl Stats {
     assert!(atomics::check(&model, 1).findings.is_empty());
 }
 
-/// The epoch reclamation code's atomics shape: SeqCst epoch bumps and
+/// An epoch-reclamation atomics shape: SeqCst epoch bumps and
 /// reader-pin traffic, Acquire/Release on the head pointer, and no
 /// Relaxed anywhere — so it must pass with a zero relaxed budget.
 const EPOCH_ATOMICS_OK: &str = r#"
-impl EpochReadSide {
+impl Reclaimer {
     pub fn publish(&self, next: usize) {
         let epoch_now = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let old_head = self.head.load(Ordering::Acquire);
@@ -519,7 +519,7 @@ fn conforming_reclamation_atomics_pass_with_zero_budget() {
 #[test]
 fn relaxed_reclamation_without_annotation_is_caught() {
     let src = r#"
-impl EpochReadSide {
+impl Reclaimer {
     pub fn reclaim(&self) {
         let horizon = self.readers.load(Ordering::Relaxed);
         self.reclaimed.fetch_add(1, Ordering::Relaxed);
